@@ -86,6 +86,16 @@ echo "== chaos smoke =="
 # asserts exactly-once delivery internally, and its stdout (fault
 # decisions included) must not depend on executor parallelism.
 smoke chaos_delivery
+# Every chaos_delivery row runs with the reliable layer on, which
+# retransmits lost FIRs and replies itself: the FIR watchdog that
+# re-issues chases must never fire there.
+chaos_bench="$smoke_dir/results/BENCH_chaos_delivery.json"
+grep -q '"fir_reissued": 0' "$chaos_bench" \
+  || { echo "ci: $chaos_bench has no fir_reissued rows"; exit 1; }
+if grep -q '"fir_reissued": [1-9]' "$chaos_bench"; then
+  echo "ci: chaos_delivery re-issued FIRs under the reliable layer"; exit 1
+fi
+echo "   chaos_delivery: no FIR re-issue under the reliable layer"
 
 echo "== spans/metrics smoke (table4_fib --spans --metrics) =="
 # The observability exports are derived from virtual-time facts only:

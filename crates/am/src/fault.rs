@@ -84,13 +84,14 @@ pub struct FaultPlan {
     /// holds under drop/duplicate faults.
     pub reliable: bool,
     /// Initial retransmit timeout: an unacked reliable packet is
-    /// re-sent this long after transmission, then with exponential
-    /// backoff.
+    /// re-sent this long after transmission (or after the last ack
+    /// that made progress), then with exponential backoff.
     pub rto: VirtualDuration,
-    /// Cap on the backed-off retransmit (and FIR watchdog) interval.
+    /// Cap on the backed-off retransmit interval.
     pub rto_max: VirtualDuration,
-    /// FIR watchdog: an FIR still unanswered this long after it was
-    /// sent is re-issued toward the current best-guess location.
+    /// FIR watchdog, armed only on lossy links with `reliable` off: an
+    /// FIR still unanswered this long after it was sent is re-issued
+    /// toward the current best-guess location, at this fixed interval.
     pub fir_timeout: VirtualDuration,
 }
 

@@ -8,7 +8,8 @@
 //! * **Sender** ([`RelSender`]): per-peer sequence numbers starting at
 //!   1, an unacked buffer, and a single retransmit timer per peer with
 //!   exponential backoff. Acks are cumulative, so one ack can retire a
-//!   whole prefix.
+//!   whole prefix, and an ack that retires anything restarts the timer
+//!   (RFC 6298 §5.3): no retransmit round follows ack progress.
 //! * **Receiver** ([`RelReceiver`]): per-peer cumulative counter plus a
 //!   holdback buffer. Out-of-order arrivals are buffered and released
 //!   in sequence order, preserving the per-link FIFO property the
@@ -44,6 +45,9 @@ struct PeerTx<P> {
     /// Consecutive retransmit rounds without ack progress; indexes the
     /// exponential backoff.
     backoff: u32,
+    /// An ack retired packets since the timer was last (re)armed, so the
+    /// next firing restarts the timer instead of retransmitting.
+    progressed: bool,
 }
 
 impl<P> Default for PeerTx<P> {
@@ -53,6 +57,7 @@ impl<P> Default for PeerTx<P> {
             unacked: BTreeMap::new(),
             armed: false,
             backoff: 0,
+            progressed: false,
         }
     }
 }
@@ -75,6 +80,10 @@ pub enum RetxDecision<P> {
     /// stale, nothing to re-send, and the sender has disarmed itself
     /// (the kernel must not reschedule).
     Stale,
+    /// Acks made progress since the timer was armed: the oldest unacked
+    /// packet has not waited a full timeout yet. Send nothing and
+    /// reschedule the timer one initial timeout from now.
+    NotDue,
     /// Re-send these copies and reschedule the timer after the backoff
     /// delay indexed by `attempt`.
     Retransmit {
@@ -127,7 +136,8 @@ impl<P> RelSender<P> {
 
     /// Process a cumulative ack from `peer`: retire every packet with
     /// seq ≤ `cum`. Returns true when the ack made progress (at least
-    /// one packet retired), which also resets the backoff.
+    /// one packet retired), which also resets the backoff and makes the
+    /// next timer firing [`RetxDecision::NotDue`].
     pub fn on_ack(&mut self, peer: NodeId, cum: u64) -> bool {
         let Some(tx) = self.peers.get_mut(&peer) else {
             return false;
@@ -137,14 +147,15 @@ impl<P> RelSender<P> {
         let progressed = tx.unacked.len() < before;
         if progressed {
             tx.backoff = 0;
+            tx.progressed = true;
         }
         progressed
     }
 
     /// A retransmit timer for `peer` fired: decide whether to re-send.
     /// On [`RetxDecision::Stale`] the peer is disarmed internally; on
-    /// [`RetxDecision::Retransmit`] it stays armed and the kernel must
-    /// reschedule the timer.
+    /// [`RetxDecision::NotDue`] and [`RetxDecision::Retransmit`] it
+    /// stays armed and the kernel must reschedule the timer.
     pub fn timer_fired(&mut self, peer: NodeId) -> RetxDecision<P> {
         let Some(tx) = self.peers.get_mut(&peer) else {
             return RetxDecision::Stale;
@@ -152,7 +163,12 @@ impl<P> RelSender<P> {
         if tx.unacked.is_empty() {
             tx.armed = false;
             tx.backoff = 0;
+            tx.progressed = false;
             return RetxDecision::Stale;
+        }
+        if tx.progressed {
+            tx.progressed = false;
+            return RetxDecision::NotDue;
         }
         let copies: Vec<(u64, RelPayload<P>, usize)> = tx
             .unacked
@@ -180,6 +196,7 @@ impl<P> RelSender<P> {
         if let Some(tx) = self.peers.get_mut(&peer) {
             tx.armed = false;
             tx.backoff = 0;
+            tx.progressed = false;
         }
     }
 }
@@ -302,12 +319,54 @@ mod tests {
         assert!(tx.on_ack(1, 3), "acking 1..=3 makes progress");
         assert!(tx.has_unacked(1), "seq 4 still outstanding");
         assert!(!tx.on_ack(1, 2), "stale ack is a no-op");
+        assert!(matches!(tx.timer_fired(1), RetxDecision::NotDue));
         assert!(matches!(
             tx.timer_fired(1),
             RetxDecision::Retransmit { attempt: 0, .. }
         ));
         assert!(tx.on_ack(1, 4));
         assert!(!tx.has_unacked(1));
+    }
+
+    #[test]
+    fn ack_progress_restarts_timer_without_retransmit() {
+        let mut tx = RelSender::new();
+        for i in 0..3 {
+            tx.register(1, env(i), 8);
+        }
+        assert!(tx.on_ack(1, 1), "seq 1 retired");
+        assert!(
+            matches!(tx.timer_fired(1), RetxDecision::NotDue),
+            "ack progress since arming: the timer restarts, nothing is re-sent"
+        );
+        match tx.timer_fired(1) {
+            RetxDecision::Retransmit { copies, attempt } => {
+                assert_eq!(copies.iter().map(|c| c.0).collect::<Vec<_>>(), vec![2, 3]);
+                assert_eq!(attempt, 0);
+            }
+            _ => panic!("a full timeout without progress must retransmit"),
+        }
+        // A stale ack is not progress: the next firing still re-sends.
+        assert!(!tx.on_ack(1, 1));
+        assert!(matches!(tx.timer_fired(1), RetxDecision::Retransmit { attempt: 1, .. }));
+    }
+
+    #[test]
+    fn stale_and_expire_clear_pending_progress() {
+        let mut tx = RelSender::new();
+        tx.register(1, env(1), 8);
+        tx.register(1, env(2), 8);
+        tx.on_ack(1, 1);
+        tx.expire(1);
+        tx.register(1, env(3), 8);
+        assert!(
+            matches!(tx.timer_fired(1), RetxDecision::Retransmit { .. }),
+            "progress before an expired timer does not defer the fresh one"
+        );
+        tx.on_ack(1, 3);
+        assert!(matches!(tx.timer_fired(1), RetxDecision::Stale));
+        tx.register(1, env(4), 8);
+        assert!(matches!(tx.timer_fired(1), RetxDecision::Retransmit { .. }));
     }
 
     #[test]
@@ -331,7 +390,7 @@ mod tests {
                 assert_eq!(copies.len(), RETX_BATCH);
                 assert_eq!(copies[0].0, 1, "lowest unacked first");
             }
-            RetxDecision::Stale => panic!("expected a retransmit"),
+            _ => panic!("expected a retransmit"),
         }
     }
 
@@ -380,6 +439,7 @@ mod tests {
         }
         assert_eq!(delivered, vec![env(1)], "2 blocks 3..=5 in holdback");
         tx.on_ack(7, rx.cum(7));
+        assert!(matches!(tx.timer_fired(7), RetxDecision::NotDue));
         match tx.timer_fired(7) {
             RetxDecision::Retransmit { copies, .. } => {
                 assert_eq!(copies.iter().map(|c| c.0).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
@@ -389,7 +449,7 @@ mod tests {
                     }
                 }
             }
-            RetxDecision::Stale => panic!("unacked packets outstanding"),
+            _ => panic!("unacked packets outstanding, no progress since"),
         }
         assert_eq!(delivered, (1..=5).map(env).collect::<Vec<_>>());
         assert!(tx.on_ack(7, rx.cum(7)));

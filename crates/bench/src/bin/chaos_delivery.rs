@@ -7,8 +7,9 @@
 //! DESIGN.md §"Fault injection & reliable delivery") must still deliver
 //! every racing probe exactly once to an actor that keeps migrating out
 //! from under them. Columns show what the reliability layer paid:
-//! retransmissions, duplicates suppressed at the receiver, and raw
-//! packets the fault layer ate.
+//! retransmissions, duplicates suppressed at the receiver, raw packets
+//! the fault layer ate, and FIR re-issues (0 with the reliable layer
+//! on, which `ci.sh` asserts).
 //!
 //! Faults are decided inside the DES from the master seed, so a given
 //! `(seed, rate)` run is fully reproducible and bit-identical across
@@ -157,7 +158,10 @@ fn main() {
         "\nshape: the fault-free row pays zero overhead (the fault layer is\n\
          compiled out of the hot path when the plan is empty); as the rate\n\
          climbs, retransmissions and suppressed duplicates grow while the\n\
-         delivered count never moves."
+         delivered count never moves. FIR-rtx is 0 on every row: the\n\
+         reliable layer retransmits lost FIRs and replies, so the chase\n\
+         watchdog is never armed. An ack that retires packets restarts the\n\
+         retransmit timer instead of letting a retransmit round follow it."
     );
     out::finish("chaos_delivery");
 }

@@ -178,11 +178,11 @@ pub struct KernelConfig {
     /// byte-identical fault-free fast path.
     pub faults: FaultPlan,
     /// Always wrap outbound envelopes in the reliable (seq + ack +
-    /// retransmit) protocol and arm FIR watchdogs, even with no fault
-    /// plan. The live backend sets this: real transports have no
-    /// deterministic delivery oracle, so the PR 3 reliable layer *is*
-    /// its wire protocol. Simulated machines leave it off — there the
-    /// reliable layer engages only under a chaos plan.
+    /// retransmit) protocol, even with no fault plan. The live backend
+    /// sets this: real transports have no deterministic delivery
+    /// oracle, so the reliable layer *is* its wire protocol. Simulated
+    /// machines leave it off — there the reliable layer engages only
+    /// under a chaos plan.
     pub force_reliable: bool,
 }
 
@@ -614,7 +614,7 @@ impl Kernel {
     }
 
     /// True when the fault plan can corrupt link traffic — the gate for
-    /// both reliable wrapping and the FIR watchdog.
+    /// reliable wrapping, and (with `reliable` off) the FIR watchdog.
     #[inline]
     fn chaos_on(&self) -> bool {
         self.cfg.faults.link_faults()
@@ -869,6 +869,14 @@ impl Kernel {
         match body {
             KMsg::RetxTimer { peer } => match self.rel_tx.timer_fired(peer) {
                 RetxDecision::Stale => {}
+                // Restart relative to now, never at an absolute deadline:
+                // `rto >= lookahead` then keeps the timer outside the
+                // current parallel window.
+                RetxDecision::NotDue => net.schedule(
+                    self.clock + self.cfg.faults.rto,
+                    self.cfg.me,
+                    AmEnvelope::Timer(KMsg::RetxTimer { peer }),
+                ),
                 RetxDecision::Retransmit { copies, attempt } => {
                     for (seq, payload, bytes) in copies {
                         self.charge(self.cfg.cost.net_send_overhead);
@@ -1403,11 +1411,13 @@ impl Kernel {
         }
     }
 
-    /// Under a live fault plan an FIR (or its reply) can be eaten by the
-    /// link; arm a watchdog so the chase is re-issued instead of wedging
-    /// the buffered messages forever.
+    /// On a lossy link without the reliable layer an FIR (or its reply)
+    /// can be eaten; arm a watchdog so the chase is re-issued instead of
+    /// wedging the buffered messages forever. Under the reliable layer
+    /// both are retransmitted until acked, so per §4.3 no second FIR is
+    /// needed and a re-issue would only add load to a backed-up link.
     fn arm_fir_watchdog(&mut self, net: &mut dyn NetOut, key: AddrKey) {
-        if self.chaos_on() || self.cfg.force_reliable {
+        if self.chaos_on() && !self.rel_on() {
             net.schedule(
                 self.clock + self.cfg.faults.fir_timeout,
                 self.cfg.me,

@@ -9,7 +9,7 @@
 //! Virtual nanoseconds therefore *are* host nanoseconds, which makes
 //! three things work unchanged:
 //!
-//! * the PR 3 reliable layer's RTO / FIR-watchdog timers (virtual-time
+//! * the reliable layer's retransmit timers (virtual-time
 //!   deadlines) fire at real wall deadlines — `KernelConfig::
 //!   force_reliable` turns the layer on unconditionally, so seq/ack/
 //!   retransmit + in-order holdback is the live wire protocol even
@@ -64,7 +64,6 @@ fn live_fault_plan() -> FaultPlan {
     FaultPlan {
         rto: VirtualDuration::from_millis(5),
         rto_max: VirtualDuration::from_millis(160),
-        fir_timeout: VirtualDuration::from_millis(15),
         ..FaultPlan::none()
     }
 }
